@@ -37,6 +37,7 @@ fn cache_hot_path(c: &mut Criterion) {
 
 fn predictor_hot_path(c: &mut Criterion) {
     let mut p = CbwsPredictor::new(CbwsConfig::default());
+    let mut out = Vec::new();
     let mut iter = 0u64;
     c.bench_function("cbws/block_cycle", |b| {
         b.iter(|| {
@@ -45,7 +46,9 @@ fn predictor_hot_path(c: &mut Criterion) {
             for k in 0..7u64 {
                 p.observe(LineAddr(iter * 1024 + k * 3000));
             }
-            black_box(p.block_end(BlockId(0)))
+            out.clear();
+            p.block_end(BlockId(0), &mut out);
+            black_box(out.len())
         })
     });
 }
@@ -79,6 +82,33 @@ fn prefetcher_training(c: &mut Criterion) {
             black_box(out.len())
         })
     });
+
+    // G/DC over one global stream: a period-3 delta pattern correlates on
+    // every miss; deltas counting up to 4096 never repeat within the
+    // 256-entry window, so every lookup misses.
+    for (name, periodic) in [
+        ("train/ghb_gdc/periodic", true),
+        ("train/ghb_gdc/no_match", false),
+    ] {
+        let mut ghb = GhbPrefetcher::new(GhbConfig::gdc());
+        let mut line = 0u64;
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                i += 1;
+                line += if periodic {
+                    [1, 7, 2][i as usize % 3]
+                } else {
+                    i % 4096 + 1
+                };
+                out.clear();
+                ghb.on_access(
+                    &PrefetchContext::demand_miss(Pc(0x40), Addr(line * 64)),
+                    &mut out,
+                );
+                black_box(out.len())
+            })
+        });
+    }
 
     let mut sms = SmsPrefetcher::default();
     c.bench_function("train/sms", |b| {

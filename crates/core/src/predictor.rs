@@ -179,16 +179,24 @@ impl HistoryShiftRegister {
 /// The 16-entry, fully-associative differential history table with random
 /// replacement (§V-A). Randomness comes from a deterministic xorshift so
 /// simulations are reproducible.
+///
+/// Tags and differentials are parallel arrays whose slots are overwritten
+/// in place: every slot's differential is preallocated at `max_vector`
+/// strides, so training never allocates.
 #[derive(Debug, Clone)]
 struct DiffHistoryTable {
-    entries: Vec<Option<(u16, Differential)>>,
+    tags: Vec<Option<u16>>,
+    diffs: Vec<Differential>,
     rng: u32,
 }
 
 impl DiffHistoryTable {
-    fn new(entries: usize) -> Self {
+    fn new(entries: usize, max_vector: usize) -> Self {
         DiffHistoryTable {
-            entries: vec![None; entries],
+            tags: vec![None; entries],
+            diffs: (0..entries)
+                .map(|_| Differential::with_capacity(max_vector))
+                .collect(),
             rng: 0x2545_F491,
         }
     }
@@ -202,29 +210,30 @@ impl DiffHistoryTable {
         x
     }
 
-    fn lookup(&self, tag: u16) -> Option<&Differential> {
-        self.entries
-            .iter()
-            .flatten()
-            .find(|(t, _)| *t == tag)
-            .map(|(_, d)| d)
+    fn find(&self, tag: u16) -> Option<usize> {
+        self.tags.iter().position(|&t| t == Some(tag))
     }
 
-    fn insert(&mut self, tag: u16, diff: Differential) {
-        if let Some(slot) = self.entries.iter_mut().flatten().find(|(t, _)| *t == tag) {
-            slot.1 = diff;
-            return;
-        }
-        if let Some(free) = self.entries.iter_mut().find(|e| e.is_none()) {
-            *free = Some((tag, diff));
-            return;
-        }
-        let victim = self.next_random() as usize % self.entries.len();
-        self.entries[victim] = Some((tag, diff));
+    fn lookup(&self, tag: u16) -> Option<&Differential> {
+        self.find(tag).map(|i| &self.diffs[i])
+    }
+
+    /// Stores `diff` under `tag`: the slot already holding `tag`, else the
+    /// first free slot, else a random victim.
+    fn insert(&mut self, tag: u16, diff: &Differential) {
+        let slot = match self.find(tag) {
+            Some(i) => i,
+            None => match self.tags.iter().position(Option::is_none) {
+                Some(free) => free,
+                None => self.next_random() as usize % self.tags.len(),
+            },
+        };
+        self.tags[slot] = Some(tag);
+        self.diffs[slot].clone_from(diff);
     }
 
     fn occupancy(&self) -> usize {
-        self.entries.iter().flatten().count()
+        self.tags.iter().flatten().count()
     }
 }
 
@@ -249,17 +258,23 @@ pub struct CbwsStats {
 /// and predicts future working sets at each `BLOCK_END` (Algorithm 1).
 ///
 /// This struct is the raw hardware model; [`CbwsPrefetcher`] wraps it in the
-/// [`Prefetcher`] trait for the simulation harness.
+/// [`Prefetcher`] trait for the simulation harness. Like the hardware, it
+/// is fixed-size: every buffer is sized in [`CbwsPredictor::new`] and
+/// nothing allocates afterwards.
 #[derive(Debug, Clone)]
 pub struct CbwsPredictor {
     cfg: CbwsConfig,
     current_block: Option<BlockId>,
     curr: CbwsVec,
-    /// Incrementally-built strides against each predecessor CBWS
-    /// (`curr_diff[i]` in Algorithm 1; index 0 = 1-step).
-    curr_diffs: Vec<Vec<i64>>,
-    /// Predecessor CBWSs, most recent first (`last_cbws`).
-    last: VecDeque<CbwsVec>,
+    /// Differentials against each predecessor CBWS, built in place as
+    /// strides arrive (`curr_diff[i]` in Algorithm 1; index 0 = 1-step).
+    curr_diffs: Vec<Differential>,
+    /// Predecessor CBWSs (`last_cbws`): a ring of `max_step` vectors whose
+    /// most recent entry is `last[last_head]`, the next most recent the one
+    /// after it, and so on for `last_len` entries.
+    last: Vec<CbwsVec>,
+    last_head: usize,
+    last_len: usize,
     /// One history shift register per step distance.
     histories: Vec<HistoryShiftRegister>,
     table: DiffHistoryTable,
@@ -288,12 +303,18 @@ impl CbwsPredictor {
         );
         CbwsPredictor {
             curr: CbwsVec::new(cfg.max_vector),
-            curr_diffs: vec![Vec::new(); cfg.max_step],
-            last: VecDeque::with_capacity(cfg.max_step),
+            curr_diffs: (0..cfg.max_step)
+                .map(|_| Differential::with_capacity(cfg.max_vector))
+                .collect(),
+            last: (0..cfg.max_step)
+                .map(|_| CbwsVec::new(cfg.max_vector))
+                .collect(),
+            last_head: 0,
+            last_len: 0,
             histories: (0..cfg.max_step)
                 .map(|_| HistoryShiftRegister::new(cfg.history_depth))
                 .collect(),
-            table: DiffHistoryTable::new(cfg.table_entries),
+            table: DiffHistoryTable::new(cfg.table_entries, cfg.max_vector),
             cfg,
             current_block: None,
             confident: false,
@@ -357,7 +378,7 @@ impl CbwsPredictor {
                 self.stats.block_switches += 1;
             }
             self.current_block = Some(id);
-            self.last.clear();
+            self.last_len = 0;
             for h in &mut self.histories {
                 h.clear();
             }
@@ -382,25 +403,29 @@ impl CbwsPredictor {
             return;
         }
         let idx = self.curr.len() - 1;
-        for (step_idx, diffs) in self.curr_diffs.iter_mut().enumerate() {
-            if let Some(prev) = self.last.get(step_idx) {
-                if let Some(prev_line) = prev.get(idx) {
-                    // Differentials align to the shorter vector, so only
-                    // extend while still contiguous with the predecessor.
-                    if diffs.len() == idx {
-                        diffs.push(line.delta(prev_line));
-                    }
+        let mut slot = self.last_head;
+        for diff in &mut self.curr_diffs[..self.last_len] {
+            if let Some(prev_line) = self.last[slot].get(idx) {
+                // Differentials align to the shorter vector, so only
+                // extend while still contiguous with the predecessor.
+                if diff.len() == idx {
+                    diff.push(line.delta(prev_line));
                 }
             }
+            slot = if slot + 1 == self.last.len() {
+                0
+            } else {
+                slot + 1
+            };
         }
     }
 
     /// `BLOCK_END(id)` (Fig. 11): trains the differential history table,
-    /// rotates the predecessor buffers, and returns the predicted working
-    /// sets of pending iterations.
-    pub fn block_end(&mut self, id: BlockId) -> Vec<LineAddr> {
+    /// rotates the predecessor buffers, and appends the predicted working
+    /// sets of pending iterations to `out`.
+    pub fn block_end(&mut self, id: BlockId, out: &mut Vec<LineAddr>) {
         if self.current_block != Some(id) {
-            return Vec::new();
+            return;
         }
         self.stats.blocks += 1;
         self.last_block_overflowed = self.curr.overflowed() > 0;
@@ -410,29 +435,29 @@ impl CbwsPredictor {
         // 1-2: store each step's new differential under the *previous*
         // history tag, then shift the history register.
         for step in 0..self.cfg.max_step {
-            let diff = Differential::from_strides(self.curr_diffs[step].iter().copied());
+            let diff = &self.curr_diffs[step];
             if diff.is_empty() {
                 continue;
             }
             if self.histories[step].is_warm() {
                 let tag = self.histories[step].tag(step);
-                self.table.insert(tag, diff.clone());
+                self.table.insert(tag, diff);
             }
             self.histories[step].shift(diff.hash12());
         }
 
-        // Rotate the last-CBWSs buffer: the completed CBWS becomes the most
-        // recent predecessor.
-        if self.last.len() == self.cfg.max_step {
-            self.last.pop_back();
-        }
-        self.last.push_front(self.curr.clone());
+        // Rotate the last-CBWSs ring: the completed CBWS is swapped into
+        // the slot before the head (the oldest one once the ring is full)
+        // and becomes the most recent predecessor.
+        let max_step = self.cfg.max_step;
+        self.last_head = (self.last_head + max_step - 1) % max_step;
+        std::mem::swap(&mut self.last[self.last_head], &mut self.curr);
+        self.last_len = (self.last_len + 1).min(max_step);
 
         // 3-4: look up the updated histories and predict future CBWSs.
-        let mut out = Vec::new();
         let mut hit = false;
         let mut span: u64 = 0;
-        let base = self.last.front().expect("just pushed");
+        let base = &self.last[self.last_head];
         for step in 0..self.cfg.prediction_depth {
             if !self.histories[step].is_warm() {
                 continue;
@@ -463,7 +488,7 @@ impl CbwsPredictor {
                         .unwrap_or(0),
                 );
                 if !pred.is_zero() {
-                    out.extend(pred.apply(base));
+                    out.extend(pred.applied(base));
                 }
             }
         }
@@ -481,7 +506,6 @@ impl CbwsPredictor {
         for d in &mut self.curr_diffs {
             d.clear();
         }
-        out
     }
 }
 
@@ -566,7 +590,7 @@ impl Prefetcher for CbwsPrefetcher {
 
     fn on_block_end(&mut self, id: BlockId, out: &mut Vec<LineAddr>) {
         self.in_block = false;
-        out.extend(self.predictor.block_end(id));
+        self.predictor.block_end(id, out);
     }
 
     fn attach_telemetry(&mut self, telemetry: &Telemetry) {
@@ -595,7 +619,9 @@ mod tests {
             for &o in offsets {
                 p.observe(LineAddr(base + i * stride + o));
             }
-            preds.push(p.block_end(id));
+            let mut pred = Vec::new();
+            p.block_end(id, &mut pred);
+            preds.push(pred);
         }
         preds
     }
@@ -649,7 +675,7 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 p.observe(LineAddr(x >> 40));
             }
-            let _ = p.block_end(BlockId(0));
+            p.block_end(BlockId(0), &mut Vec::new());
         }
         // Data-dependent working sets (the histo case, Fig. 16): hit rate
         // should be negligible.
@@ -670,7 +696,8 @@ mod tests {
         assert!(!p.is_confident());
         assert_eq!(p.stats().block_switches, 1);
         p.observe(LineAddr(5));
-        let pred = p.block_end(BlockId(1));
+        let mut pred = Vec::new();
+        p.block_end(BlockId(1), &mut pred);
         assert!(pred.is_empty());
     }
 
@@ -685,7 +712,7 @@ mod tests {
         for i in 0..10 {
             p.observe(LineAddr(i));
         }
-        let _ = p.block_end(BlockId(0));
+        p.block_end(BlockId(0), &mut Vec::new());
         assert_eq!(p.stats().vector_overflows, 6);
     }
 
@@ -694,7 +721,8 @@ mod tests {
         let mut p = CbwsPredictor::new(CbwsConfig::default());
         p.block_begin(BlockId(0));
         p.observe(LineAddr(1));
-        let out = p.block_end(BlockId(9));
+        let mut out = Vec::new();
+        p.block_end(BlockId(9), &mut out);
         assert!(out.is_empty());
         assert_eq!(p.stats().blocks, 0);
     }

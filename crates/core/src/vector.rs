@@ -130,29 +130,60 @@ impl fmt::Display for CbwsVec {
 /// Hardware stores each element in 16 bits ("address strides are typically
 /// small", §V-A); larger strides truncate, exactly as 16-bit hardware
 /// registers would, making such patterns unpredictable rather than erroring.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct Differential {
     strides: Vec<i16>,
     /// Set when any source stride did not fit in 16 bits.
     truncated: bool,
 }
 
+impl Clone for Differential {
+    fn clone(&self) -> Self {
+        Differential {
+            strides: self.strides.clone(),
+            truncated: self.truncated,
+        }
+    }
+
+    /// Copies into the existing stride buffer, so overwriting a history
+    /// table slot reuses its storage.
+    fn clone_from(&mut self, source: &Self) {
+        self.strides.clone_from(&source.strides);
+        self.truncated = source.truncated;
+    }
+}
+
 impl Differential {
     /// Builds a differential from full-width strides, truncating each to
     /// 16 bits as the hardware registers do.
     pub fn from_strides<I: IntoIterator<Item = i64>>(strides: I) -> Self {
-        let mut truncated = false;
-        let strides = strides
-            .into_iter()
-            .map(|s| {
-                let t = s as i16;
-                if i64::from(t) != s {
-                    truncated = true;
-                }
-                t
-            })
-            .collect();
-        Differential { strides, truncated }
+        let mut d = Differential::default();
+        for s in strides {
+            d.push(s);
+        }
+        d
+    }
+
+    /// An empty differential with room for `capacity` strides.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Differential {
+            strides: Vec::with_capacity(capacity),
+            truncated: false,
+        }
+    }
+
+    /// Appends one full-width stride, truncated to 16 bits as the hardware
+    /// adder's output register stores it (Fig. 10).
+    pub fn push(&mut self, stride: i64) {
+        let t = stride as i16;
+        self.truncated |= i64::from(t) != stride;
+        self.strides.push(t);
+    }
+
+    /// Empties the differential, keeping its storage.
+    pub(crate) fn clear(&mut self) {
+        self.strides.clear();
+        self.truncated = false;
     }
 
     /// Number of stride elements.
@@ -192,11 +223,15 @@ impl Differential {
     /// `base` (Fig. 11 step 4). The result is aligned to the shorter of the
     /// two vectors.
     pub fn apply(&self, base: &CbwsVec) -> Vec<LineAddr> {
+        self.applied(base).collect()
+    }
+
+    /// The lines of [`Differential::apply`], without collecting them.
+    pub(crate) fn applied<'a>(&'a self, base: &'a CbwsVec) -> impl Iterator<Item = LineAddr> + 'a {
         self.strides
             .iter()
             .zip(base.iter())
             .map(|(&s, &b)| b.offset(i64::from(s)))
-            .collect()
     }
 
     /// Whether all strides are zero (the next iteration reuses the same

@@ -8,15 +8,26 @@
 //! prefetches `degree` lines by replaying the deltas that followed that
 //! occurrence.
 //!
-//! Structural note: hardware GHBs are a single circular buffer with per-key
-//! link pointers; we model the equivalent observable behaviour with bounded
-//! per-key deques (chain truncation ≈ buffer wrap) and an LRU-bounded key
-//! index. Storage is accounted with Table III's formulas.
+//! Structural note: each key's stream keeps the deltas between its last
+//! misses (256 for G/DC, 32 per PC for PC/DC) in a ring, the window
+//! `[first, next)` sliding by one delta per miss, so nothing is rebuilt.
+//! Correlation search follows Nesbit & Smith's index table and link
+//! pointers instead of scanning: every position where a complete
+//! `history_len`-delta key starts is entered in a small hashed index
+//! table, whose bucket holds the latest key start that hashed to it, and
+//! each start links to the previous start in its bucket. A lookup walks
+//! the chain from the key's bucket, newest first, checks each candidate
+//! delta by delta (hash collisions share buckets), and stops at the window
+//! edge, so its first hit is the most recent earlier occurrence of the key
+//! — exactly what a backward scan of the window finds. All streams' rings,
+//! links and buckets live in flat arrays allocated once in
+//! [`GhbPrefetcher::new`]; the LRU-bounded key index hands an evicted
+//! stream's slot to the new key. Storage is accounted with Table III's
+//! formulas.
 
 use crate::{PrefetchContext, Prefetcher};
 use cbws_describe::{ComponentDescription, ComponentKind, Describe, ParamSpec};
 use cbws_trace::{LineAddr, Pc};
-use std::collections::VecDeque;
 
 /// Localization mode of the GHB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,11 +75,20 @@ impl GhbConfig {
     }
 }
 
-#[derive(Debug, Clone)]
+/// Marks an empty index bucket or the end of a link chain.
+const NO_START: u64 = u64::MAX;
+
+/// One key's miss stream. Deltas are numbered from the slot's creation;
+/// the window holds deltas `first..next`, delta `j` at ring slot
+/// `j & (ring - 1)`.
+#[derive(Debug, Clone, Copy)]
 struct Stream {
     key: u64,
-    lines: VecDeque<LineAddr>,
     lru: u64,
+    /// The most recent miss, or `None` for an empty stream.
+    last_line: Option<LineAddr>,
+    first: u64,
+    next: u64,
 }
 
 /// The GHB G/DC / PC/DC prefetcher.
@@ -76,8 +96,18 @@ struct Stream {
 pub struct GhbPrefetcher {
     cfg: GhbConfig,
     streams: Vec<Stream>,
+    /// Misses kept per key; the delta window holds one fewer.
     per_key_cap: usize,
     key_cap: usize,
+    /// Slots per stream in `deltas`, `links` and `index`: `per_key_cap`
+    /// rounded up to a power of two.
+    ring: usize,
+    /// `key_cap` delta rings, one per stream slot.
+    deltas: Vec<i64>,
+    /// Parallel to `deltas`: the previous key start in the same bucket.
+    links: Vec<u64>,
+    /// `key_cap` index tables: the latest key start per bucket.
+    index: Vec<u64>,
     stamp: u64,
 }
 
@@ -97,11 +127,16 @@ impl GhbPrefetcher {
             // plausible share and the key index at the entry count.
             GhbKind::PcDeltaCorrelation => (32.min(cfg.entries), cfg.entries),
         };
+        let ring = per_key_cap.next_power_of_two();
         GhbPrefetcher {
             cfg,
-            streams: Vec::new(),
+            streams: Vec::with_capacity(key_cap),
             per_key_cap,
             key_cap,
+            ring,
+            deltas: vec![0; key_cap * ring],
+            links: vec![NO_START; key_cap * ring],
+            index: vec![NO_START; key_cap * ring],
             stamp: 0,
         }
     }
@@ -118,31 +153,95 @@ impl GhbPrefetcher {
         }
     }
 
-    /// Delta-correlation prediction over one stream. `lines` is in
-    /// chronological order, most recent last.
-    fn predict(lines: &VecDeque<LineAddr>, history_len: usize, degree: usize) -> Vec<i64> {
-        let n = lines.len();
-        if n < history_len + 2 {
-            return Vec::new();
+    /// The stream slot for `key`, claiming a free slot or resetting the
+    /// least recently used one when the key is new.
+    fn stream_slot(&mut self, key: u64, stamp: u64) -> usize {
+        if let Some(i) = self.streams.iter().position(|s| s.key == key) {
+            return i;
         }
-        let deltas: Vec<i64> = (1..n).map(|i| lines[i].delta(lines[i - 1])).collect();
-        let m = deltas.len();
-        if m < history_len + 1 {
-            return Vec::new();
+        let fresh = Stream {
+            key,
+            lru: stamp,
+            last_line: None,
+            first: 0,
+            next: 0,
+        };
+        if self.streams.len() < self.key_cap {
+            self.streams.push(fresh);
+            return self.streams.len() - 1;
         }
-        let key = &deltas[m - history_len..];
-        // Most recent earlier occurrence of the key.
-        for start in (0..m - history_len).rev() {
-            if &deltas[start..start + history_len] == key {
+        let victim = (0..self.streams.len())
+            .min_by_key(|&i| self.streams[i].lru)
+            .expect("key_cap > 0");
+        // Delta numbers carry on, so every start the old key left in the
+        // slot's index table and links lies before the new window.
+        let next = self.streams[victim].next;
+        self.streams[victim] = Stream {
+            first: next,
+            next,
+            ..fresh
+        };
+        victim
+    }
+
+    /// Appends `line` to stream `slot`, sliding its delta window, and
+    /// pushes the delta-correlation prediction onto `out`: the deltas that
+    /// followed the most recent earlier occurrence of the last
+    /// `history_len` deltas, replayed from `line`.
+    fn train(&mut self, slot: usize, line: LineAddr, out: &mut Vec<LineAddr>) {
+        let h = self.cfg.history_len as u64;
+        let slots = slot * self.ring..(slot + 1) * self.ring;
+        let mask = self.ring as u64 - 1;
+        let s = &mut self.streams[slot];
+        let Some(prev) = s.last_line.replace(line) else {
+            return;
+        };
+        let deltas = &mut self.deltas[slots.clone()];
+        deltas[(s.next & mask) as usize] = line.delta(prev);
+        s.next += 1;
+        if s.next - s.first >= self.per_key_cap as u64 {
+            s.first += 1;
+        }
+        let (first, next) = (s.first, s.next);
+        if next - first < h {
+            return;
+        }
+        let at = |j: u64| deltas[(j & mask) as usize];
+        // The key starts at `next - h`; walk earlier starts in its bucket.
+        // A later start reusing a link slot lies at least `ring` deltas
+        // after the one it replaces, so every link inside the window is
+        // still its own.
+        let key_start = next - h;
+        let hash = (0..h).fold(0u64, |acc, i| {
+            (acc ^ at(key_start + i) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        });
+        let index = &mut self.index[slots.clone()];
+        let bucket = ((hash >> 32) & mask) as usize;
+        let links = &mut self.links[slots];
+        let mut cand = index[bucket];
+        while cand != NO_START && cand >= first {
+            if (0..h).all(|i| at(cand + i) == at(key_start + i)) {
                 // Replay the deltas that followed the occurrence; if fewer
                 // than `degree` exist, cycle through them (periodic-stream
                 // assumption).
-                let follow = &deltas[start + history_len..m];
-                debug_assert!(!follow.is_empty());
-                return (0..degree).map(|k| follow[k % follow.len()]).collect();
+                let follow = cand + h..next;
+                let mut j = follow.start;
+                let mut cursor = line;
+                for _ in 0..self.cfg.degree {
+                    cursor = cursor.offset(at(j));
+                    out.push(cursor);
+                    j = if j + 1 == follow.end {
+                        follow.start
+                    } else {
+                        j + 1
+                    };
+                }
+                break;
             }
+            cand = links[(cand & mask) as usize];
         }
-        Vec::new()
+        links[(key_start & mask) as usize] = index[bucket];
+        index[bucket] = key_start;
     }
 }
 
@@ -232,47 +331,9 @@ impl Prefetcher for GhbPrefetcher {
         }
         self.stamp += 1;
         let stamp = self.stamp;
-        let key = self.key_of(ctx.pc);
-        let line = ctx.addr.line();
-
-        let stream = match self.streams.iter_mut().find(|s| s.key == key) {
-            Some(s) => s,
-            None => {
-                if self.streams.len() >= self.key_cap {
-                    let victim = self
-                        .streams
-                        .iter_mut()
-                        .min_by_key(|s| s.lru)
-                        .expect("key_cap > 0");
-                    victim.key = key;
-                    victim.lines.clear();
-                    victim.lru = stamp;
-                    self.streams
-                        .iter_mut()
-                        .find(|s| s.key == key)
-                        .expect("just assigned")
-                } else {
-                    self.streams.push(Stream {
-                        key,
-                        lines: VecDeque::with_capacity(self.per_key_cap),
-                        lru: stamp,
-                    });
-                    self.streams.last_mut().expect("just pushed")
-                }
-            }
-        };
-        stream.lru = stamp;
-        if stream.lines.len() == self.per_key_cap {
-            stream.lines.pop_front();
-        }
-        stream.lines.push_back(line);
-
-        let deltas = Self::predict(&stream.lines, self.cfg.history_len, self.cfg.degree);
-        let mut cursor = line;
-        for d in deltas {
-            cursor = cursor.offset(d);
-            out.push(cursor);
-        }
+        let slot = self.stream_slot(self.key_of(ctx.pc), stamp);
+        self.streams[slot].lru = stamp;
+        self.train(slot, ctx.addr.line(), out);
     }
 }
 

@@ -141,9 +141,9 @@ impl SmsPrefetcher {
         );
         SmsPrefetcher {
             cfg,
-            agt: Vec::new(),
-            filter: Vec::new(),
-            pht: Vec::new(),
+            agt: Vec::with_capacity(cfg.agt_entries),
+            filter: Vec::with_capacity(cfg.filter_entries),
+            pht: Vec::with_capacity(cfg.pht_entries),
             stamp: 0,
         }
     }

@@ -160,8 +160,9 @@ proptest! {
                 p1.observe(LineAddr(l));
                 p2.observe(LineAddr(l));
             }
-            let o1 = p1.block_end(BlockId(0));
-            let o2 = p2.block_end(BlockId(0));
+            let (mut o1, mut o2) = (Vec::new(), Vec::new());
+            p1.block_end(BlockId(0), &mut o1);
+            p2.block_end(BlockId(0), &mut o2);
             prop_assert_eq!(&o1, &o2, "predictor must be deterministic");
             prop_assert!(o1.len() <= cfg.prediction_depth * cfg.max_vector);
         }
